@@ -32,6 +32,7 @@ use crate::suite::paper_machine;
 use nztm_core::{NzBuilder, Nzstm, TmStats};
 use nztm_sim::attrib::{ClassStats, StructClass};
 use nztm_sim::{DetRng, Native, SimPlatform};
+use nztm_workloads::Host;
 use std::sync::Arc;
 
 /// Workloads the cross-check runs — the acceptance criteria name
@@ -153,35 +154,18 @@ pub(crate) fn sim_attribution(
     let sys: Arc<Nzstm<SimPlatform>> = NzBuilder::new(Arc::clone(&platform)).build_nzstm();
 
     // Setup on core 0, so allocation is charged (and tagged) in-model.
-    let driver: Arc<OpDriver<Nzstm<SimPlatform>>> = {
-        let slot: Arc<nztm_sim::sync::Mutex<Option<OpDriver<Nzstm<SimPlatform>>>>> =
-            Arc::new(nztm_sim::sync::Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let sys2 = Arc::clone(&sys);
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(move || *slot2.lock() = Some(OpDriver::new(&*sys2, workload)))];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        machine.run(bodies);
-        let built = slot.lock().take().expect("setup built the driver");
-        Arc::new(built)
-    };
+    let host = Host::Sim(Arc::clone(&machine));
+    let sys2 = Arc::clone(&sys);
+    let driver = Arc::new(host.serial(move || OpDriver::new(&*sys2, workload)).0);
 
     let run_phase = |ops: u64, seed: u64| {
-        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-            .map(|tid| {
-                let sys = Arc::clone(&sys);
-                let driver = Arc::clone(&driver);
-                Box::new(move || {
-                    let mut rng = DetRng::new(seed).split(tid as u64 + 1);
-                    for _ in 0..ops {
-                        driver.one_op(&*sys, &mut rng);
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        machine.run(bodies);
+        let (sys, driver) = (Arc::clone(&sys), Arc::clone(&driver));
+        host.parallel(move |tid| {
+            let mut rng = DetRng::new(seed).split(tid as u64 + 1);
+            for _ in 0..ops {
+                driver.one_op(&*sys, &mut rng);
+            }
+        });
     };
 
     run_phase((ops_per_thread / 4).max(4), seed ^ 0x5EED);

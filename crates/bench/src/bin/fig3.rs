@@ -9,62 +9,33 @@
 //! Usage: `fig3 [--full] [--json out.json] [workload ...]`
 
 use nztm_bench::report::{Cell, FigureReport, Panel, Series};
-use nztm_bench::suite::{fig3_systems, Workload, WorkloadScale, ALL_WORKLOADS};
-use nztm_bench::suite::fig3_cell;
+use nztm_bench::suite::{fig3_cell, fig3_systems, FigureArgs, SimSystem};
+use std::io::Write;
 
 const THREADS: &[usize] = &[1, 3, 7, 15];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let wl_filter: Vec<Workload> =
-        args.iter().filter_map(|a| Workload::from_name(a)).collect();
-    let workloads: Vec<Workload> =
-        if wl_filter.is_empty() { ALL_WORKLOADS.to_vec() } else { wl_filter };
-    let scale = if full { WorkloadScale::full() } else { WorkloadScale::quick() };
+    let (args, json) = FigureArgs::from_env("fig3 [--full] [--json out.json] [workload ...]");
+    let scale = args.scale();
 
     let mut panels = Vec::new();
-    for w in workloads {
+    for &w in &args.workloads {
         eprintln!("[fig3] {} ...", w.name());
         // Normalization base: LogTM-SE at 1 thread.
-        let base = fig3_cell(nztm_bench::suite::SimSystem::LogTmSe, w, 1, &scale);
-        let base_tp = base.throughput();
+        let base_tp = fig3_cell(SimSystem::LogTmSe, w, 1, &scale).throughput();
 
         let mut series = Vec::new();
         for sys in fig3_systems() {
             let mut cells = Vec::new();
             for &t in THREADS {
                 let r = fig3_cell(sys, w, t, &scale);
-                let st = &r.stats;
-                cells.push(Cell {
-                    threads: t,
-                    raw: r.throughput(),
-                    norm: if base_tp > 0.0 { r.throughput() / base_tp } else { 0.0 },
-                    commits: st.commits,
-                    aborts: st.aborts() + st.htm_aborts,
-                    abort_rate: {
-                        let attempts = st.attempts() + st.htm_aborts;
-                        if attempts == 0 {
-                            0.0
-                        } else {
-                            (st.aborts() + st.htm_aborts) as f64 / attempts as f64
-                        }
-                    },
-                    htm_share: st.htm_commit_share(),
-                    inflations: st.inflations,
-                    hotspots: r.hotspots.clone(),
-                });
+                cells.push(Cell::from_result(t, &r, base_tp));
                 eprintln!(
                     "[fig3]   {:<11} t={:<2} cycles={:<12} commits={}",
                     sys.name(),
                     t,
                     r.elapsed,
-                    st.commits
+                    r.stats.commits
                 );
             }
             series.push(Series { system: sys.name().to_string(), cells });
@@ -78,8 +49,8 @@ fn main() {
         panels,
     };
     println!("{}", report.render_text());
-    if let Some(p) = json_path {
-        std::fs::write(&p, report.to_json()).expect("write json");
+    if let (Some(mut f), Some(p)) = (json, args.json) {
+        f.write_all(report.to_json().as_bytes()).expect("write json");
         eprintln!("[fig3] wrote {p}");
     }
 }

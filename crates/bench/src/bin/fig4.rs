@@ -13,71 +13,52 @@
 //! degenerates; the relative system-to-system comparison at each thread
 //! count remains meaningful.)
 //!
-//! Usage: `fig4 [--full] [--threads 1,2,4] [--json out.json] [workload ...]`
+//! Usage: `fig4 [--full] [--sim] [--threads 1,2,4] [--json out.json] [workload ...]`
 
 use nztm_bench::report::{Cell, FigureReport, Panel, Series};
-use nztm_bench::suite::{fig4_cell, fig4_sim_cell, fig4_systems, Workload, WorkloadScale, ALL_WORKLOADS};
+use nztm_bench::suite::{fig4_cell, fig4_systems, paper_machine, FigureArgs};
+use nztm_sim::Native;
+use nztm_workloads::Host;
+use std::io::Write;
 
 const THREADS: &[usize] = &[1, 2, 4, 8, 16];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    // --sim: run the four software systems on the deterministic
-    // simulator instead of host threads (cycle-based, reproducible; the
+    let (args, json) = FigureArgs::from_env(
+        "fig4 [--full] [--sim] [--threads 1,2,4] [--json out.json] [workload ...]",
+    );
+    let scale = args.scale();
+    let threads = args.threads.clone().unwrap_or_else(|| THREADS.to_vec());
+    // --sim: run the software systems on the deterministic simulator
+    // instead of host threads (cycle-based, reproducible; the
     // configuration used for the S4–S6 shape claims).
-    let sim = args.iter().any(|a| a == "--sim");
-    let json_path =
-        args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
-    let threads: Vec<usize> = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.split(',').map(|x| x.parse().expect("thread count")).collect())
-        .unwrap_or_else(|| THREADS.to_vec());
-    let wl_filter: Vec<Workload> = args.iter().filter_map(|a| Workload::from_name(a)).collect();
-    let workloads: Vec<Workload> =
-        if wl_filter.is_empty() { ALL_WORKLOADS.to_vec() } else { wl_filter };
-    let scale = if full { WorkloadScale::full() } else { WorkloadScale::quick() };
-
-    let mut panels = Vec::new();
-    let cell = |sys: &str, w: Workload, t: usize, scale: &WorkloadScale| {
-        if sim {
-            fig4_sim_cell(sys, w, t, scale)
+    let host = |t: usize| {
+        if args.sim {
+            Host::Sim(paper_machine(t).0)
         } else {
-            fig4_cell(sys, w, t, scale)
+            Host::Native(Native::new(t.max(1)))
         }
     };
-    for w in workloads {
+
+    let mut panels = Vec::new();
+    for &w in &args.workloads {
         eprintln!("[fig4] {} ...", w.name());
         // Normalization base: a single global lock at 1 thread.
-        let base = cell("GlobalLock", w, 1, &scale);
-        let base_tp = base.throughput();
+        let base_tp = fig4_cell(&host(1), "GlobalLock", w, &scale).throughput();
 
         let mut series = Vec::new();
         for sys in fig4_systems() {
             let mut cells = Vec::new();
             for &t in &threads {
-                let r = cell(sys, w, t, &scale);
-                let st = &r.stats;
-                cells.push(Cell {
-                    threads: t,
-                    raw: r.throughput(),
-                    norm: if base_tp > 0.0 { r.throughput() / base_tp } else { 0.0 },
-                    commits: st.commits,
-                    aborts: st.aborts(),
-                    abort_rate: st.abort_rate(),
-                    htm_share: 0.0,
-                    inflations: st.inflations,
-                    hotspots: r.hotspots.clone(),
-                });
+                let r = fig4_cell(&host(t), sys, w, &scale);
+                cells.push(Cell::from_result(t, &r, base_tp));
                 eprintln!(
                     "[fig4]   {:<9} t={:<2} ns={:<13} commits={} aborts={}",
                     sys,
                     t,
                     r.elapsed,
-                    st.commits,
-                    st.aborts()
+                    r.stats.commits,
+                    r.stats.aborts()
                 );
             }
             series.push(Series { system: sys.to_string(), cells });
@@ -86,7 +67,7 @@ fn main() {
     }
 
     let report = FigureReport {
-        figure: if sim {
+        figure: if args.sim {
             "Figure 4 — simulated cycles (Rock substitute)".into()
         } else {
             "Figure 4 — native (Rock substitute)".into()
@@ -95,8 +76,8 @@ fn main() {
         panels,
     };
     println!("{}", report.render_text());
-    if let Some(p) = json_path {
-        std::fs::write(&p, report.to_json()).expect("write json");
+    if let (Some(mut f), Some(p)) = (json, args.json) {
+        f.write_all(report.to_json().as_bytes()).expect("write json");
         eprintln!("[fig4] wrote {p}");
     }
 }

@@ -4,9 +4,18 @@
 //! Usage: `stats [s1 s2 ... s7]` (default: all)
 
 use nztm_bench::suite::{
-    fig3_cell, fig3_hybrid_cell_with_atmtp, fig4_sim_cell, SimSystem, Workload, WorkloadScale,
+    fig3_cell, fig3_hybrid_cell_with_atmtp, fig4_cell, paper_machine, SimSystem, Workload,
+    WorkloadScale,
 };
 use nztm_htm::AtmtpConfig;
+use nztm_workloads::driver::BenchResult;
+use nztm_workloads::Host;
+
+/// A Figure 4 cell on the 4-core simulated paper machine: deterministic
+/// cycles with the paper cache model.
+fn sim4(sys: &str, w: Workload, scale: &WorkloadScale) -> BenchResult {
+    fig4_cell(&Host::Sim(paper_machine(4).0), sys, w, scale)
+}
 
 fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -76,8 +85,8 @@ fn s4(scale: &WorkloadScale) {
     // Simulated cells: deterministic cycles with the paper cache model.
     println!("\n== S4 (§4.4.2): NZSTM lags BZSTM by ~2–5% (inflation checks, no inflation) ==");
     for w in [Workload::HashtableLow, Workload::RedblackLow, Workload::LinkedlistLow] {
-        let b = fig4_sim_cell("BZSTM", w, 4, scale);
-        let n = fig4_sim_cell("NZSTM", w, 4, scale);
+        let b = sim4("BZSTM", w, scale);
+        let n = sim4("NZSTM", w, scale);
         let gap = (b.throughput() - n.throughput()) / b.throughput().max(f64::MIN_POSITIVE);
         println!(
             "measured {:<16} BZSTM/NZSTM gap {}  (inflations observed: {})",
@@ -93,8 +102,8 @@ fn s5(scale: &WorkloadScale) {
     // Simulated cells: deterministic cycles with the paper cache model.
     println!("\n== S5 (§4.4.2): SCSS ≈ NZSTM everywhere except write-dominated kmeans ==");
     for w in [Workload::HashtableLow, Workload::RedblackLow, Workload::KmeansHigh] {
-        let n = fig4_sim_cell("NZSTM", w, 4, scale);
-        let s = fig4_sim_cell("SCSS", w, 4, scale);
+        let n = sim4("NZSTM", w, scale);
+        let s = sim4("SCSS", w, scale);
         let ratio = s.throughput() / n.throughput().max(f64::MIN_POSITIVE);
         println!(
             "measured {:<16} SCSS/NZSTM throughput ratio {:.2} (scss stores={})",
@@ -110,8 +119,8 @@ fn s6(scale: &WorkloadScale) {
     // Simulated cells: deterministic cycles with the paper cache model.
     println!("\n== S6 (§4.4.2): NZSTM significantly outperforms DSTM2-SF on kmeans ==");
     for w in [Workload::KmeansHigh, Workload::KmeansLow, Workload::HashtableLow] {
-        let n = fig4_sim_cell("NZSTM", w, 4, scale);
-        let d = fig4_sim_cell("DSTM2-SF", w, 4, scale);
+        let n = sim4("NZSTM", w, scale);
+        let d = sim4("DSTM2-SF", w, scale);
         println!(
             "measured {:<16} NZSTM/DSTM2-SF throughput ratio {:.2}",
             w.name(),

@@ -9,8 +9,8 @@
 //! * `transfer` — the workloads crate's transfer bank (2-account
 //!   transfers, 1-in-8 full audits): mixed read/write with conflicts.
 //!
-//! Each workload runs at 1/4/8 threads for BZSTM, NZSTM, and SCSS on
-//! native threads, and for the NZTM hybrid on the deterministic
+//! Each workload runs at 1/4/8 threads for BZSTM, NZSTM, SCSS, and
+//! NOREC on native threads, and for the NZTM hybrid on the deterministic
 //! simulator (the hybrid's HTM is simulator-only, so its cells measure
 //! host wall-clock *of the simulation* — comparable run-to-run on one
 //! machine, not against the native cells).
@@ -26,8 +26,9 @@ use crate::suite::paper_machine;
 use nztm_core::cm::{AdaptiveConfig, KarmaDeadlock};
 use nztm_core::{Bzstm, NzBuilder, NzConfig, Nzstm, NzstmScss, TmStats, TmSys};
 use nztm_htm::{AtmtpConfig, BestEffortHtm, HybridConfig, NztmHybrid};
-use nztm_sim::{DetRng, Machine, Native};
+use nztm_sim::{DetRng, Native};
 use nztm_workloads::kv::{KvTraceCfg, KvTraceGen, ShardedKv};
+use nztm_workloads::Host;
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -607,42 +608,25 @@ fn run_hybrid_cell(workload: HotWorkload, threads: usize, scale: &HotScale) -> C
     }
 
     // Setup on core 0 (allocation charges the simulated cache model).
-    let driver: Arc<OpDriver<NztmHybrid>> = {
-        let slot: Arc<nztm_sim::sync::Mutex<Option<OpDriver<NztmHybrid>>>> =
-            Arc::new(nztm_sim::sync::Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let sys2 = Arc::clone(&sys);
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(move || *slot2.lock() = Some(OpDriver::new(&*sys2, workload)))];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        machine.run(bodies);
-        let built = slot.lock().take().expect("setup built the driver");
-        Arc::new(built)
-    };
+    let host = Host::Sim(machine);
+    let sys2 = Arc::clone(&sys);
+    let driver = Arc::new(host.serial(move || OpDriver::new(&*sys2, workload)).0);
 
     let ops_per_thread = (scale.sim_ops / threads as u64).max(1);
-    let run_phase = |machine: &Arc<Machine>, ops: u64, seed: u64| {
-        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-            .map(|tid| {
-                let sys = Arc::clone(&sys);
-                let driver = Arc::clone(&driver);
-                Box::new(move || {
-                    let mut src = driver.source(seed, tid as u64 + 1);
-                    for _ in 0..ops {
-                        driver.step(&*sys, &mut src);
-                    }
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        machine.run(bodies);
+    let run_phase = |ops: u64, seed: u64| {
+        let (sys, driver) = (Arc::clone(&sys), Arc::clone(&driver));
+        host.parallel(move |tid| {
+            let mut src = driver.source(seed, tid as u64 + 1);
+            for _ in 0..ops {
+                driver.step(&*sys, &mut src);
+            }
+        });
     };
 
-    run_phase(&machine, (ops_per_thread / 4).max(4), scale.seed ^ 0x5EED);
+    run_phase((ops_per_thread / 4).max(4), scale.seed ^ 0x5EED);
     sys.reset_stats();
     let t0 = Instant::now();
-    run_phase(&machine, ops_per_thread, scale.seed);
+    run_phase(ops_per_thread, scale.seed);
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
     if let Some(bank) = &driver.bank {
         bank.assert_conserved();

@@ -25,6 +25,5 @@ pub mod suite;
 
 pub use report::{Cell, FigureReport, Series};
 pub use suite::{
-    fig3_systems, fig4_systems, run_workload_native, run_workload_sim, SimSystem, Workload,
-    WorkloadScale, ALL_WORKLOADS,
+    fig3_systems, fig4_systems, run_workload, SimSystem, Workload, WorkloadScale, ALL_WORKLOADS,
 };

@@ -92,9 +92,9 @@ pub fn native_htm_status() -> String {
 /// Fig. 3/4 that are not compositions of the core engine).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReferenceKind {
-    /// DSTM2-style shallow-faithful locator STM.
+    /// Classic DSTM: the locator (one extra indirection) STM.
     Dstm,
-    /// Shadow-copy STM.
+    /// DSTM2's Shadow Factory (DSTM2-SF): blocking, in-place shadow copies.
     Shadow,
     /// Coarse global-lock "TM".
     GlobalLock,
@@ -104,11 +104,12 @@ impl ReferenceKind {
     pub const ALL: [ReferenceKind; 3] =
         [ReferenceKind::Dstm, ReferenceKind::Shadow, ReferenceKind::GlobalLock];
 
+    /// The system's own [`TmSys::name`].
     pub fn name(self) -> &'static str {
         match self {
-            ReferenceKind::Dstm => "DSTM2-SF",
-            ReferenceKind::Shadow => "shadow",
-            ReferenceKind::GlobalLock => "global-lock",
+            ReferenceKind::Dstm => "DSTM",
+            ReferenceKind::Shadow => "DSTM2-SF",
+            ReferenceKind::GlobalLock => "GlobalLock",
         }
     }
 }
@@ -267,7 +268,7 @@ mod tests {
                 let p = Native::new(1);
                 p.register_thread_as(0);
                 let sys = build(p);
-                assert!(!sys.name().is_empty(), "{:?}", kind);
+                assert_eq!(sys.name(), kind.name());
             }
         }
         for_each_reference_backend(&mut RefCheck);

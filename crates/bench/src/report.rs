@@ -4,6 +4,7 @@
 //! dependency in the workspace).
 
 use nztm_core::ObjectHeat;
+use nztm_workloads::driver::BenchResult;
 
 /// One measured cell.
 #[derive(Clone, Debug)]
@@ -78,6 +79,26 @@ fn json_f64(v: f64) -> String {
 }
 
 impl Cell {
+    /// The cell of run `r` at `threads` threads, normalized to the
+    /// throughput `base_tp`. Aborts and attempts include hardware aborts
+    /// (zero for software systems).
+    pub fn from_result(threads: usize, r: &BenchResult, base_tp: f64) -> Cell {
+        let st = &r.stats;
+        let aborts = st.aborts() + st.htm_aborts;
+        let attempts = st.attempts() + st.htm_aborts;
+        Cell {
+            threads,
+            raw: r.throughput(),
+            norm: if base_tp > 0.0 { r.throughput() / base_tp } else { 0.0 },
+            commits: st.commits,
+            aborts,
+            abort_rate: if attempts == 0 { 0.0 } else { aborts as f64 / attempts as f64 },
+            htm_share: st.htm_commit_share(),
+            inflations: st.inflations,
+            hotspots: r.hotspots.clone(),
+        }
+    }
+
     fn to_json(&self, out: &mut String, indent: &str) {
         use std::fmt::Write;
         write!(

@@ -1,15 +1,12 @@
 //! [`NzBuilder`]: one front door for constructing engines.
 //!
-//! The builder is **composition-first**: name the algorithm with
+//! The builder is **algorithm-first**: name the algorithm with
 //! [`NzBuilder::algorithm`] (or one of the `build_*` shorthands) and the
-//! builder checks every knob against that composition's axes — invalid
+//! builder checks every knob against that algorithm — invalid
 //! combinations fail at [`NzBuilder::try_build`] with a typed
 //! [`BuildError`] instead of silently misconfiguring an engine. The
 //! expert-mode trait slot is [`NzBuilder::build`]`::<M>`: any
-//! [`ModePolicy`] — i.e. any composition of [`crate::algo`] strategies —
-//! builds through the same checked path, and axis combinations the
-//! engine cannot execute are rejected by the trait bounds at compile
-//! time (a `ModePolicy` must name one type per axis).
+//! [`ModePolicy`] builds through the same checked path.
 //!
 //! Engines are concrete types (`Arc<NzStm<P, M>>`, never `Arc<dyn …>`),
 //! so the compile-time [`ModePolicy`] specialization the paper's §4.4.2
@@ -125,16 +122,6 @@ impl Algo {
             Algo::Nzstm => "NZSTM",
             Algo::Scss => "SCSS",
             Algo::Norec => "NOREC",
-        }
-    }
-
-    /// The composition's axes (see [`crate::algo`]).
-    pub fn composition(self) -> crate::algo::Composition {
-        match self {
-            Algo::Bzstm => crate::algo::Composition::of::<Blocking>(),
-            Algo::Nzstm => crate::algo::Composition::of::<Nonblocking>(),
-            Algo::Scss => crate::algo::Composition::of::<ScssMode>(),
-            Algo::Norec => crate::algo::Composition::of::<NorecMode>(),
         }
     }
 }
@@ -307,10 +294,9 @@ impl<P: Platform> NzBuilder<P> {
     /// Check the configuration against mode `M` and build the engine.
     ///
     /// This is the expert-mode trait slot: `M` may be any
-    /// [`ModePolicy`], i.e. any composition of [`crate::algo`]
-    /// strategies the engine can execute. Fails with a typed
-    /// [`BuildError`] when [`NzBuilder::algorithm`] named a different
-    /// composition or a knob contradicts `M`'s axes.
+    /// [`ModePolicy`]. Fails with a typed [`BuildError`] when
+    /// [`NzBuilder::algorithm`] named a different algorithm or a knob
+    /// contradicts `M`.
     pub fn try_build<M: ModePolicy>(self) -> Result<Arc<NzStm<P, M>>, BuildError> {
         if let Some(requested) = self.algo {
             if requested.mode_name() != M::NAME {
@@ -481,10 +467,18 @@ mod tests {
     #[test]
     fn every_algo_names_a_shipped_composition() {
         for a in [Algo::Bzstm, Algo::Nzstm, Algo::Scss, Algo::Norec] {
-            let c = a.composition();
-            assert!(!c.reads.is_empty());
             // The Algo names line up with BackendKind's software rows.
             assert!(BackendKind::parse(a.mode_name()).is_some());
+        }
+    }
+
+    #[test]
+    fn norec_gate_is_set_only_by_norec_mode() {
+        const {
+            assert!(!Blocking::NOREC);
+            assert!(!Nonblocking::NOREC);
+            assert!(!ScssMode::NOREC);
+            assert!(NorecMode::NOREC);
         }
     }
 }

@@ -78,71 +78,50 @@ macro_rules! trace_evt {
     }};
 }
 
-/// Compile-time selection of the engine variant: a *composition* of one
-/// type per algorithm axis (see [`crate::algo`]) plus the protocol knobs
-/// the ownership compositions differentiate on.
+/// Compile-time selection of the engine variant: four `const` flags.
 ///
-/// The engine gates per-axis code paths on the axes' `const`
-/// discriminators (surfaced here as [`ModePolicy::NOREC`]), so a
-/// composition that does not use an axis compiles it away entirely —
-/// BZSTM really contains no inflation-tag checks (§4.4.2's 2–5%), and
-/// the ownership modes really contain no global-clock traffic.
+/// The engine gates its code paths on these constants, so a mode that
+/// does not use a path compiles it away entirely — BZSTM really contains
+/// no inflation-tag checks (§4.4.2's 2–5%), and the ownership modes
+/// really contain no global-clock traffic.
 pub trait ModePolicy: Send + Sync + 'static {
-    /// How reads are tracked ([`crate::algo::ReadStrategy`]).
-    type Reads: crate::algo::ReadStrategy;
-    /// Where speculative writes live ([`crate::algo::LogRepr`]).
-    type Log: crate::algo::LogRepr;
-    /// Whether objects carry backups ([`crate::algo::BackupPolicy`]).
-    type Backup: crate::algo::BackupPolicy;
-    /// How commit serializes ([`crate::algo::CommitProtocol`]).
-    type Commit: crate::algo::CommitProtocol;
     /// Give up waiting for an abort acknowledgement after `patience`
     /// steps (inflate / SCSS-barrier). `false` = BZSTM.
     const NONBLOCKING: bool;
     /// Pair every data store with an AbortNowPlease check (SCSS).
     const SCSS: bool;
-    /// Derived master gate for the NOrec path: value-validated reads +
-    /// redo log + global sequence lock travel together (a global-clock
-    /// commit is only sound when nothing is dirtied in place and reads
-    /// revalidate by value), so the commit protocol's discriminator
-    /// selects the whole path.
-    const NOREC: bool = <Self::Commit as crate::algo::CommitProtocol>::GLOBAL_SEQLOCK;
+    /// Master gate for the NOrec path: value-validated reads, a redo log
+    /// and a global sequence lock travel together (a global-clock commit
+    /// is only sound when nothing is dirtied in place and reads
+    /// revalidate by value), so one flag selects the whole path.
+    const NOREC: bool;
     const NAME: &'static str;
 }
 
 /// BZSTM: the blocking base algorithm of §2.2.
 pub struct Blocking;
 impl ModePolicy for Blocking {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = false;
     const SCSS: bool = false;
+    const NOREC: bool = false;
     const NAME: &'static str = "BZSTM";
 }
 
 /// NZSTM: nonblocking via inflation (§2.3.1).
 pub struct Nonblocking;
 impl ModePolicy for Nonblocking {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = true;
     const SCSS: bool = false;
+    const NOREC: bool = false;
     const NAME: &'static str = "NZSTM";
 }
 
 /// NZSTM+SCSS: nonblocking via Single-Compare Single-Store (§2.3.2).
 pub struct ScssMode;
 impl ModePolicy for ScssMode {
-    type Reads = crate::algo::VisibleIndicator;
-    type Log = crate::algo::EagerWriteBack;
-    type Backup = crate::algo::ZeroIndirectionBackup;
-    type Commit = crate::algo::OwnerCas;
     const NONBLOCKING: bool = true;
     const SCSS: bool = true;
+    const NOREC: bool = false;
     const NAME: &'static str = "SCSS";
 }
 
@@ -155,14 +134,11 @@ impl ModePolicy for ScssMode {
 /// data itself is the clock CAS at commit.
 pub struct NorecMode;
 impl ModePolicy for NorecMode {
-    type Reads = crate::algo::ValueValidation;
-    type Log = crate::algo::RedoLog;
-    type Backup = crate::algo::NoBackup;
-    type Commit = crate::algo::GlobalSeqLock;
     // Ownership-protocol knobs; never consulted on the NOrec path (which
     // bypasses owner words, inflation, and SCSS stores entirely).
     const NONBLOCKING: bool = false;
     const SCSS: bool = false;
+    const NOREC: bool = true;
     const NAME: &'static str = "NOREC";
 }
 

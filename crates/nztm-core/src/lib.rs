@@ -16,9 +16,8 @@
 //!   writer's own AbortNowPlease flag (Single-Compare Single-Store,
 //!   emulated as a short atomic section).
 //! * [`Norec`] — NOrec (value-based validation, lazy redo writes, one
-//!   global sequence lock), composed from the same kernel: proof that an
-//!   algorithm here is a [composition](algo) of per-axis strategies, not
-//!   a fork of the engine.
+//!   global sequence lock), built from the same kernel: one
+//!   [`ModePolicy`] flag, not a fork of the engine.
 //! * [`hybrid`] — hooks for the NZTM hybrid (§2.4), used by the
 //!   `nztm-htm` crate's best-effort hardware path.
 //!
@@ -59,7 +58,6 @@
 //! the paper's simulator experiments.
 
 pub mod adt;
-pub mod algo;
 pub mod builder;
 pub mod cm;
 pub mod data;
@@ -78,7 +76,6 @@ pub mod txn;
 pub mod util;
 
 pub use adt::{AdtOpDesc, AdtOpKind};
-pub use algo::{BackupPolicy, CommitProtocol, Composition, LogRepr, ReadStrategy};
 pub use builder::{Algo, BackendKind, BuildError, NzBuilder};
 pub use data::{FieldWord, TmData, WordArray};
 pub use engine::{

@@ -1,6 +1,6 @@
-//! Benchmark drivers: run a workload across threads on the native
-//! platform (wall-clock, Figure 4) or across simulated cores (cycles,
-//! Figure 3).
+//! Benchmark drivers: run a workload across the cores of a [`Host`] —
+//! native threads (wall-clock, Figure 4) or simulated cores (cycles,
+//! Figure 3). Each workload has one driver for both platforms.
 //!
 //! Protocol, as in §4.3: initialize the data structure first, then begin
 //! taking measurements; each thread executes a fixed number of
@@ -11,9 +11,9 @@ use crate::hashtable::HashTableSet;
 use crate::linkedlist::LinkedListSet;
 use crate::redblack::RedBlackSet;
 use crate::set::{populate, Contention, SetOp, TmSet};
+use crate::Host;
 use nztm_core::{ObjectHeat, TmStats, TmSys};
-use nztm_sim::{DetRng, Machine, Native, Platform, SimPlatform};
-use std::sync::atomic::{AtomicU64, Ordering};
+use nztm_sim::DetRng;
 use std::sync::Arc;
 
 /// Which microbenchmark structure to run.
@@ -71,10 +71,12 @@ pub struct BenchResult {
 /// Hotspots retained per run report.
 pub const MAX_HOTSPOTS: usize = 8;
 
-/// Drain the system's flight recorder (quiescent at the end of a
-/// measured phase) into a per-object contention ranking.
-fn take_hotspots<S: TmSys>(sys: &S) -> Vec<ObjectHeat> {
-    sys.take_trace().hottest_objects(MAX_HOTSPOTS)
+/// Close a run: merged statistics plus the flight recorder (quiescent
+/// at the end of a measured phase) drained into a per-object contention
+/// ranking.
+fn finish<S: TmSys>(sys: &S, ops: u64, elapsed: u64) -> BenchResult {
+    let stats = sys.stats_snapshot();
+    BenchResult { ops, elapsed, stats, hotspots: sys.take_trace().hottest_objects(MAX_HOTSPOTS) }
 }
 
 impl BenchResult {
@@ -97,108 +99,28 @@ fn build_set<S: TmSys>(sys: &S, cfg: &SetBenchConfig) -> Arc<dyn TmSet<S>> {
     }
 }
 
-/// One thread's share of the measured phase. Returns ops completed.
-fn thread_phase<S: TmSys>(
-    set: &dyn TmSet<S>,
-    sys: &S,
-    cfg: &SetBenchConfig,
-    tid: usize,
-) -> u64 {
+/// One thread's share of the measured phase.
+fn thread_phase<S: TmSys>(set: &dyn TmSet<S>, sys: &S, cfg: &SetBenchConfig, tid: usize) {
     let mut rng = DetRng::new(cfg.seed).split(tid as u64 + 1);
     for _ in 0..cfg.ops_per_thread {
         let op = SetOp::draw(&mut rng, cfg.contention);
         set.apply(sys, op);
     }
-    cfg.ops_per_thread
 }
 
-/// Run on real threads; returns wall-clock-based results (Figure 4 mode).
-pub fn run_set_native<S: TmSys>(
-    platform: &Arc<Native>,
-    sys: &Arc<S>,
-    cfg: &SetBenchConfig,
-) -> BenchResult {
-    assert!(cfg.threads <= platform.n_cores());
-    // Setup phase on the main thread (core id 0).
-    platform.register_thread_as(0);
+/// Run a set microbenchmark: core 0 populates the set (unmeasured), then
+/// every core runs its share of the operation mix (measured).
+/// `cfg.threads` must equal the host's core count.
+pub fn run_set<S: TmSys>(host: &Host, sys: &Arc<S>, cfg: &SetBenchConfig) -> BenchResult {
+    assert_eq!(host.threads(), cfg.threads, "host cores must equal cfg.threads");
     let set = build_set(&**sys, cfg);
-    populate(&*set, &**sys, cfg.seed ^ 0x9E37);
+    let (set2, sys2, seed) = (Arc::clone(&set), Arc::clone(sys), cfg.seed ^ 0x9E37);
+    host.serial(move || populate(&*set2, &*sys2, seed));
     sys.reset_stats();
 
-    let barrier = Arc::new(std::sync::Barrier::new(cfg.threads + 1));
-    let done_ops = Arc::new(AtomicU64::new(0));
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..cfg.threads {
-            let platform = Arc::clone(platform);
-            let sys = Arc::clone(sys);
-            let set = Arc::clone(&set);
-            let barrier = Arc::clone(&barrier);
-            let done = Arc::clone(&done_ops);
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                platform.register_thread_as(tid);
-                barrier.wait();
-                let n = thread_phase(&*set, &*sys, &cfg, tid);
-                done.fetch_add(n, Ordering::Relaxed);
-            });
-        }
-        barrier.wait();
-    });
-    let elapsed = start.elapsed().as_nanos() as u64;
-    BenchResult { ops: done_ops.load(Ordering::Relaxed), elapsed, stats: sys.stats_snapshot(), hotspots: take_hotspots(&**sys) }
-}
-
-/// Run on the simulated machine; returns cycle-based results (Figure 3
-/// mode). The machine's core count determines the thread count; `cfg`
-/// must match. The populate phase runs as a separate (unmeasured)
-/// machine run so caches are warm, as in the paper's protocol.
-pub fn run_set_sim<S: TmSys>(
-    machine: &Arc<Machine>,
-    platform: &Arc<SimPlatform>,
-    sys: &Arc<S>,
-    cfg: &SetBenchConfig,
-) -> BenchResult {
-    let threads = machine.config().n_cores;
-    assert_eq!(threads, cfg.threads, "machine cores must equal cfg.threads");
-    let set = build_set(&**sys, cfg);
-
-    // Phase 1 (unmeasured): core 0 populates, others idle.
-    {
-        let set = Arc::clone(&set);
-        let sys2 = Arc::clone(sys);
-        let seed = cfg.seed ^ 0x9E37;
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(move || populate(&*set, &*sys2, seed))];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        machine.run(bodies);
-    }
-    sys.reset_stats();
-
-    // Phase 2 (measured): all cores run the operation mix.
-    let done_ops = Arc::new(AtomicU64::new(0));
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-        .map(|tid| {
-            let sys = Arc::clone(sys);
-            let set = Arc::clone(&set);
-            let cfg = cfg.clone();
-            let done = Arc::clone(&done_ops);
-            Box::new(move || {
-                let n = thread_phase(&*set, &*sys, &cfg, tid);
-                done.fetch_add(n, Ordering::Relaxed);
-            }) as Box<dyn FnOnce() + Send>
-        })
-        .collect();
-    let report = machine.run(bodies);
-    let _ = platform;
-    BenchResult {
-        ops: done_ops.load(Ordering::Relaxed),
-        elapsed: report.makespan,
-        stats: sys.stats_snapshot(),
-        hotspots: take_hotspots(&**sys),
-    }
+    let (sys2, cfg2) = (Arc::clone(sys), cfg.clone());
+    let elapsed = host.parallel(move |tid| thread_phase(&*set, &*sys2, &cfg2, tid));
+    finish(&**sys, cfg.threads as u64 * cfg.ops_per_thread, elapsed)
 }
 
 // ---------------------------------------------------------------------------
@@ -209,261 +131,79 @@ use crate::stamp::genome::{Genome, GenomeConfig};
 use crate::stamp::kmeans::{Kmeans, KmeansConfig};
 use crate::stamp::vacation::{Vacation, VacationConfig};
 
-/// Run kmeans on the simulator: per iteration, one parallel assignment
-/// phase (all cores) and one serial recompute phase (core 0); the
-/// reported elapsed time is the summed makespan, as the paper measures
-/// whole-benchmark completion.
-pub fn run_kmeans_sim<S: TmSys>(
-    machine: &Arc<Machine>,
-    platform: &Arc<SimPlatform>,
-    sys: &Arc<S>,
-    cfg: KmeansConfig,
-) -> BenchResult {
-    let threads = machine.config().n_cores;
+/// Run kmeans: per iteration, one parallel assignment phase (all cores)
+/// and one serial recompute phase (core 0); the reported elapsed time is
+/// the summed phase time, as the paper measures whole-benchmark
+/// completion.
+pub fn run_kmeans<S: TmSys>(host: &Host, sys: &Arc<S>, cfg: KmeansConfig) -> BenchResult {
+    let threads = host.threads();
     let km = Arc::new(Kmeans::new(&**sys, cfg.clone()));
     sys.reset_stats();
+    let points = cfg.points as u64;
     let mut elapsed = 0;
-    let mut ops = 0;
     for _ in 0..cfg.iterations {
-        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-            .map(|tid| {
-                let km = Arc::clone(&km);
-                let sys = Arc::clone(sys);
-                let platform = Arc::clone(platform);
-                Box::new(move || {
-                    km.assign_phase(&*sys, tid, threads, |c| platform.work(c));
-                }) as Box<dyn FnOnce() + Send>
+        let (km2, sys2, h) = (Arc::clone(&km), Arc::clone(sys), host.clone());
+        elapsed += host.parallel(move |tid| km2.assign_phase(&*sys2, tid, threads, |c| h.work(c)));
+        let (km2, sys2) = (Arc::clone(&km), Arc::clone(sys));
+        elapsed += host
+            .serial(move || {
+                assert_eq!(km2.recompute_centers(&*sys2), points, "points conserved");
             })
-            .collect();
-        elapsed += machine.run(bodies).makespan;
-        // Serial recompute on core 0.
-        let km2 = Arc::clone(&km);
-        let sys2 = Arc::clone(sys);
-        let points = cfg.points as u64;
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> = vec![Box::new(move || {
-            assert_eq!(km2.recompute_centers(&*sys2), points, "points conserved");
-        })];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        elapsed += machine.run(bodies).makespan;
-        ops += points;
+            .1;
     }
-    BenchResult { ops, elapsed, stats: sys.stats_snapshot(), hotspots: take_hotspots(&**sys) }
+    finish(&**sys, points * cfg.iterations as u64, elapsed)
 }
 
-/// Run kmeans natively (wall clock).
-pub fn run_kmeans_native<S: TmSys>(
-    platform: &Arc<Native>,
-    sys: &Arc<S>,
-    cfg: KmeansConfig,
-) -> BenchResult {
-    let threads = platform.n_cores();
-    platform.register_thread_as(0);
-    let km = Arc::new(Kmeans::new(&**sys, cfg.clone()));
+/// Run genome: parallel dedup, serial entry build (host side, untimed —
+/// STAMP builds its phase-2 table between phases), parallel linking,
+/// serial verification (untimed).
+pub fn run_genome<S: TmSys>(host: &Host, sys: &Arc<S>, cfg: GenomeConfig) -> BenchResult {
+    let threads = host.threads();
+    let ga = Arc::new(Genome::new(&**sys, cfg));
     sys.reset_stats();
-    let start = std::time::Instant::now();
-    let mut ops = 0;
-    for _ in 0..cfg.iterations {
-        std::thread::scope(|scope| {
-            for tid in 0..threads {
-                let km = Arc::clone(&km);
-                let sys = Arc::clone(sys);
-                let platform = Arc::clone(platform);
-                scope.spawn(move || {
-                    platform.register_thread_as(tid);
-                    let p2 = Arc::clone(&platform);
-                    km.assign_phase(&*sys, tid, threads, move |c| p2.work(c));
-                });
-            }
-        });
-        platform.register_thread_as(0);
-        assert_eq!(km.recompute_centers(&**sys), cfg.points as u64);
-        ops += cfg.points as u64;
-    }
-    BenchResult { ops, elapsed: start.elapsed().as_nanos() as u64, stats: sys.stats_snapshot(), hotspots: take_hotspots(&**sys) }
-}
 
-/// Run genome on the simulator: parallel dedup, serial entry build (host
-/// side, untimed — STAMP builds its phase-2 table between phases),
-/// parallel linking, serial verification.
-pub fn run_genome_sim<S: TmSys>(
-    machine: &Arc<Machine>,
-    _platform: &Arc<SimPlatform>,
-    sys: &Arc<S>,
-    cfg: GenomeConfig,
-) -> BenchResult {
-    let threads = machine.config().n_cores;
-    let mut g = Genome::new(&**sys, cfg);
-    sys.reset_stats();
-    let mut elapsed = 0;
-
-    let ga = Arc::new(g);
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-        .map(|tid| {
-            let g = Arc::clone(&ga);
-            let sys = Arc::clone(sys);
-            Box::new(move || {
-                g.dedup_phase(&*sys, tid, threads);
-            }) as Box<dyn FnOnce() + Send>
-        })
-        .collect();
-    elapsed += machine.run(bodies).makespan;
-
-    g = Arc::try_unwrap(ga).unwrap_or_else(|_| panic!("phase-1 bodies done"));
+    let (g2, sys2) = (Arc::clone(&ga), Arc::clone(sys));
+    let mut elapsed = host.parallel(move |tid| {
+        g2.dedup_phase(&*sys2, tid, threads);
+    });
+    let mut g = Arc::try_unwrap(ga).unwrap_or_else(|_| panic!("phase-1 bodies done"));
     assert_eq!(g.dedup.elements(&**sys).len(), g.expected_unique());
     g.build_entries(&**sys);
     let n_entries = g.entries.len() as u64;
 
     let ga = Arc::new(g);
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-        .map(|tid| {
-            let g = Arc::clone(&ga);
-            let sys = Arc::clone(sys);
-            Box::new(move || {
-                g.link_phase(&*sys, tid, threads);
-            }) as Box<dyn FnOnce() + Send>
-        })
-        .collect();
-    elapsed += machine.run(bodies).makespan;
+    let (g2, sys2) = (Arc::clone(&ga), Arc::clone(sys));
+    elapsed += host.parallel(move |tid| {
+        g2.link_phase(&*sys2, tid, threads);
+    });
     ga.reconstruct(&**sys); // asserts acyclic chains
-
-    BenchResult { ops: ga.segments.len() as u64 + n_entries, elapsed, stats: sys.stats_snapshot(), hotspots: take_hotspots(&**sys) }
+    finish(&**sys, ga.segments.len() as u64 + n_entries, elapsed)
 }
 
-/// Run genome natively.
-pub fn run_genome_native<S: TmSys>(
-    platform: &Arc<Native>,
-    sys: &Arc<S>,
-    cfg: GenomeConfig,
-) -> BenchResult {
-    let threads = platform.n_cores();
-    platform.register_thread_as(0);
-    let mut g = Genome::new(&**sys, cfg);
-    sys.reset_stats();
-    let start = std::time::Instant::now();
-
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let g = &g;
-            let sys = Arc::clone(sys);
-            let platform = Arc::clone(platform);
-            scope.spawn(move || {
-                platform.register_thread_as(tid);
-                g.dedup_phase(&*sys, tid, threads);
-            });
-        }
-    });
-    platform.register_thread_as(0);
-    g.build_entries(&**sys);
-    let n_entries = g.entries.len() as u64;
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let g = &g;
-            let sys = Arc::clone(sys);
-            let platform = Arc::clone(platform);
-            scope.spawn(move || {
-                platform.register_thread_as(tid);
-                g.link_phase(&*sys, tid, threads);
-            });
-        }
-    });
-    platform.register_thread_as(0);
-    g.reconstruct(&**sys);
-    BenchResult {
-        ops: g.segments.len() as u64 + n_entries,
-        elapsed: start.elapsed().as_nanos() as u64,
-        stats: sys.stats_snapshot(),
-        hotspots: take_hotspots(&**sys),
-    }
-}
-
-/// Run vacation on the simulator: `txns_per_thread` client transactions
-/// per core, then a conservation check.
-pub fn run_vacation_sim<S: TmSys>(
-    machine: &Arc<Machine>,
-    _platform: &Arc<SimPlatform>,
+/// Run vacation: core 0 builds the database (unmeasured; setup runs
+/// transactions, so on the simulator it must execute on a simulated
+/// core), then `txns_per_thread` client transactions per core, then a
+/// conservation check.
+pub fn run_vacation<S: TmSys>(
+    host: &Host,
     sys: &Arc<S>,
     cfg: VacationConfig,
     txns_per_thread: u64,
 ) -> BenchResult {
-    let threads = machine.config().n_cores;
-    // Setup runs transactions (tree inserts), so it must execute on a
-    // simulated core: an unmeasured phase with core 0 building the DB.
-    let v = {
-        let slot: Arc<nztm_sim::sync::Mutex<Option<Vacation<S>>>> =
-            Arc::new(nztm_sim::sync::Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let sys2 = Arc::clone(sys);
-        let cfg2 = cfg.clone();
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(move || *slot2.lock() = Some(Vacation::new(&*sys2, cfg2)))];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        machine.run(bodies);
-        let v = slot.lock().take().expect("setup phase built the database");
-        Arc::new(v)
-    };
+    let threads = host.threads();
+    let (sys2, seed) = (Arc::clone(sys), cfg.seed);
+    let v = Arc::new(host.serial(move || Vacation::new(&*sys2, cfg)).0);
     sys.reset_stats();
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-        .map(|tid| {
-            let v = Arc::clone(&v);
-            let sys = Arc::clone(sys);
-            let seed = cfg.seed;
-            Box::new(move || {
-                let mut rng = DetRng::new(seed ^ 0xBEEF).split(tid as u64);
-                for _ in 0..txns_per_thread {
-                    v.one_transaction(&*sys, &mut rng);
-                }
-            }) as Box<dyn FnOnce() + Send>
-        })
-        .collect();
-    let report = machine.run(bodies);
-    v.check_conservation(&**sys);
-    BenchResult {
-        ops: threads as u64 * txns_per_thread,
-        elapsed: report.makespan,
-        stats: sys.stats_snapshot(),
-        hotspots: take_hotspots(&**sys),
-    }
-}
 
-/// Run vacation natively.
-pub fn run_vacation_native<S: TmSys>(
-    platform: &Arc<Native>,
-    sys: &Arc<S>,
-    cfg: VacationConfig,
-    txns_per_thread: u64,
-) -> BenchResult {
-    let threads = platform.n_cores();
-    platform.register_thread_as(0);
-    let v = Arc::new(Vacation::new(&**sys, cfg.clone()));
-    sys.reset_stats();
-    let start = std::time::Instant::now();
-    std::thread::scope(|scope| {
-        for tid in 0..threads {
-            let v = Arc::clone(&v);
-            let sys = Arc::clone(sys);
-            let platform = Arc::clone(platform);
-            let seed = cfg.seed;
-            scope.spawn(move || {
-                platform.register_thread_as(tid);
-                let mut rng = DetRng::new(seed ^ 0xBEEF).split(tid as u64);
-                for _ in 0..txns_per_thread {
-                    v.one_transaction(&*sys, &mut rng);
-                }
-            });
+    let (v2, sys2) = (Arc::clone(&v), Arc::clone(sys));
+    let elapsed = host.parallel(move |tid| {
+        let mut rng = DetRng::new(seed ^ 0xBEEF).split(tid as u64);
+        for _ in 0..txns_per_thread {
+            v2.one_transaction(&*sys2, &mut rng);
         }
     });
-    platform.register_thread_as(0);
     v.check_conservation(&**sys);
-    BenchResult {
-        ops: threads as u64 * txns_per_thread,
-        elapsed: start.elapsed().as_nanos() as u64,
-        stats: sys.stats_snapshot(),
-        hotspots: take_hotspots(&**sys),
-    }
+    finish(&**sys, threads as u64 * txns_per_thread, elapsed)
 }
 
 #[cfg(test)]
@@ -471,9 +211,9 @@ mod tests {
     use super::*;
     use nztm_core::cm::KarmaDeadlock;
     use nztm_core::{NzConfig, Nzstm};
-    use nztm_sim::{CacheConfig, CostModel, MachineConfig};
+    use nztm_sim::{CacheConfig, CostModel, Machine, MachineConfig, Native, SimPlatform};
 
-    fn sim(cores: usize) -> (Arc<Machine>, Arc<SimPlatform>) {
+    fn sim(cores: usize) -> (Host, Arc<SimPlatform>) {
         let m = Machine::new(MachineConfig {
             n_cores: cores,
             hw_cores: 0,
@@ -483,7 +223,7 @@ mod tests {
             max_cycles: 4_000_000_000,
         });
         let p = SimPlatform::new(Arc::clone(&m));
-        (m, p)
+        (Host::Sim(m), p)
     }
 
     #[test]
@@ -497,7 +237,7 @@ mod tests {
             ops_per_thread: 300,
             seed: 11,
         };
-        let r = run_set_native(&p, &s, &cfg);
+        let r = run_set(&Host::Native(p), &s, &cfg);
         assert_eq!(r.ops, 600);
         assert!(r.stats.commits >= 600, "each op commits at least one txn");
         assert!(r.elapsed > 0);
@@ -519,7 +259,7 @@ mod tests {
                 ops_per_thread: 40,
                 seed: 5,
             };
-            let r = run_set_sim(&m, &p, &s, &cfg);
+            let r = run_set(&m, &s, &cfg);
             (r.ops, r.elapsed, r.stats.commits, r.stats.aborts())
         };
         let a = run();
@@ -543,7 +283,7 @@ mod tests {
             ops_per_thread: 50,
             seed: 3,
         };
-        let r = run_set_sim(&m, &p, &s, &cfg);
+        let r = run_set(&m, &s, &cfg);
         assert_eq!(r.ops, 100);
         assert!(r.elapsed > 0);
         assert!(r.throughput() > 0.0);

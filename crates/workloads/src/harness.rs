@@ -16,8 +16,9 @@
 //! and the NZTM hybrid, on both native threads and the deterministic
 //! simulated machine.
 
+use crate::Host;
 use nztm_core::{TmStats, TmSys};
-use nztm_sim::{DetRng, Machine, Native, RunReport};
+use nztm_sim::DetRng;
 use std::sync::Arc;
 
 /// A bank of transactional accounts; the sum is invariant under
@@ -109,95 +110,40 @@ impl Default for StressConfig {
     }
 }
 
-/// Run the transfer-bank stress on native threads. Returns the merged
-/// statistics of the measured phase; conservation is asserted before
-/// returning.
-pub fn stress_native<S: TmSys>(platform: &Arc<Native>, sys: &Arc<S>, cfg: &StressConfig) -> TmStats {
-    use nztm_sim::Platform;
-    assert!(cfg.threads <= platform.n_cores());
-    platform.register_thread_as(0);
-    let bank = Arc::new(TransferBank::new(&**sys, cfg.accounts, cfg.initial_balance));
+/// Run the transfer-bank stress: core 0 builds the bank, then every core
+/// runs `cfg.ops_per_thread` operations (`cfg.threads` must equal the
+/// host's core count). Conservation is asserted before returning the
+/// merged statistics of the measured phase and its time. On the
+/// simulator the run is fully deterministic, and the machine's schedule
+/// trace, when enabled, is the replay artifact.
+pub fn stress<S: TmSys>(host: &Host, sys: &Arc<S>, cfg: &StressConfig) -> (TmStats, u64) {
+    assert_eq!(host.threads(), cfg.threads, "host cores must equal cfg.threads");
+    let (sys2, n, init) = (Arc::clone(sys), cfg.accounts, cfg.initial_balance);
+    let bank = Arc::new(host.serial(move || TransferBank::new(&*sys2, n, init)).0);
     sys.reset_stats();
-    let barrier = Arc::new(std::sync::Barrier::new(cfg.threads));
-    std::thread::scope(|scope| {
-        for tid in 0..cfg.threads {
-            let platform = Arc::clone(platform);
-            let sys = Arc::clone(sys);
-            let bank = Arc::clone(&bank);
-            let barrier = Arc::clone(&barrier);
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                platform.register_thread_as(tid);
-                let mut rng = DetRng::new(cfg.seed).split(tid as u64 + 1);
-                barrier.wait();
-                for _ in 0..cfg.ops_per_thread {
-                    bank.one_op(&*sys, &mut rng);
-                }
-            });
+
+    let (sys2, bank2, cfg2) = (Arc::clone(sys), Arc::clone(&bank), cfg.clone());
+    let elapsed = host.parallel(move |tid| {
+        let mut rng = DetRng::new(cfg2.seed).split(tid as u64 + 1);
+        for _ in 0..cfg2.ops_per_thread {
+            bank2.one_op(&*sys2, &mut rng);
         }
     });
-    platform.register_thread_as(0);
     bank.assert_conserved();
-    sys.stats_snapshot()
-}
-
-/// Run the transfer-bank stress on the simulated machine (one thread per
-/// core, `cfg.threads` must equal the machine's core count). Fully
-/// deterministic; returns the merged statistics and the machine report
-/// (whose schedule trace, when enabled, is the replay artifact).
-pub fn stress_sim<S: TmSys>(
-    machine: &Arc<Machine>,
-    sys: &Arc<S>,
-    cfg: &StressConfig,
-) -> (TmStats, RunReport) {
-    let threads = machine.config().n_cores;
-    assert_eq!(threads, cfg.threads, "machine cores must equal cfg.threads");
-    // Setup phase on core 0 (alloc charges the sim cache model).
-    let bank = {
-        let slot: Arc<nztm_sim::sync::Mutex<Option<TransferBank<S>>>> =
-            Arc::new(nztm_sim::sync::Mutex::new(None));
-        let slot2 = Arc::clone(&slot);
-        let sys2 = Arc::clone(sys);
-        let (n, init) = (cfg.accounts, cfg.initial_balance);
-        let mut bodies: Vec<Box<dyn FnOnce() + Send>> =
-            vec![Box::new(move || *slot2.lock() = Some(TransferBank::new(&*sys2, n, init)))];
-        for _ in 1..threads {
-            bodies.push(Box::new(|| {}));
-        }
-        machine.run(bodies);
-        let built = slot.lock().take().expect("setup built the bank");
-        Arc::new(built)
-    };
-    sys.reset_stats();
-    let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-        .map(|tid| {
-            let sys = Arc::clone(sys);
-            let bank = Arc::clone(&bank);
-            let cfg = cfg.clone();
-            Box::new(move || {
-                let mut rng = DetRng::new(cfg.seed).split(tid as u64 + 1);
-                for _ in 0..cfg.ops_per_thread {
-                    bank.one_op(&*sys, &mut rng);
-                }
-            }) as Box<dyn FnOnce() + Send>
-        })
-        .collect();
-    let report = machine.run(bodies);
-    bank.assert_conserved();
-    (sys.stats_snapshot(), report)
+    (sys.stats_snapshot(), elapsed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nztm_sim::{CacheConfig, CostModel, MachineConfig, SimPlatform};
+    use nztm_sim::{CacheConfig, CostModel, Machine, MachineConfig, Native, SimPlatform};
 
     #[test]
     fn native_stress_conserves_money() {
         let p = Native::new(3);
         let s = nztm_core::NzBuilder::new(Arc::clone(&p)).build_nzstm();
         let cfg = StressConfig { threads: 3, ops_per_thread: 200, ..StressConfig::default() };
-        let st = stress_native(&p, &s, &cfg);
+        let (st, _) = stress(&Host::Native(p), &s, &cfg);
         assert!(st.commits >= 600, "each op commits at least once");
     }
 
@@ -215,8 +161,8 @@ mod tests {
             let p = SimPlatform::new(Arc::clone(&m));
             let s = nztm_core::NzBuilder::new(Arc::clone(&p)).build_bzstm();
             let cfg = StressConfig { threads: 3, ops_per_thread: 60, ..StressConfig::default() };
-            let (st, report) = stress_sim(&m, &s, &cfg);
-            (st.commits, st.aborts(), report.makespan)
+            let (st, makespan) = stress(&Host::Sim(m), &s, &cfg);
+            (st.commits, st.aborts(), makespan)
         };
         assert_eq!(run(), run());
     }

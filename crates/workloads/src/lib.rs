@@ -22,6 +22,7 @@
 pub mod driver;
 pub mod harness;
 pub mod hashtable;
+pub mod host;
 pub mod history;
 pub mod kv;
 pub mod linkedlist;
@@ -29,4 +30,5 @@ pub mod redblack;
 pub mod set;
 pub mod stamp;
 
+pub use host::Host;
 pub use set::{Contention, SetOp, TmSet, KEY_RANGE};

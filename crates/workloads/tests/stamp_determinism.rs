@@ -9,8 +9,9 @@
 
 use nztm_core::NzBuilder;
 use nztm_sim::{Machine, MachineConfig, SimPlatform};
-use nztm_workloads::driver::{run_genome_sim, run_kmeans_sim, run_vacation_sim, BenchResult};
+use nztm_workloads::driver::{run_genome, run_kmeans, run_vacation, BenchResult};
 use nztm_workloads::set::TmSet;
+use nztm_workloads::Host;
 use nztm_workloads::stamp::genome::{Genome, GenomeConfig};
 use nztm_workloads::stamp::kmeans::KmeansConfig;
 use nztm_workloads::stamp::vacation::VacationConfig;
@@ -35,29 +36,29 @@ fn fingerprint(r: &BenchResult) -> u64 {
     fnv(&[r.ops, r.elapsed, r.stats.commits, r.stats.aborts(), r.stats.conflicts])
 }
 
-fn sim(threads: usize) -> (Arc<Machine>, Arc<SimPlatform>) {
+fn sim(threads: usize) -> (Host, Arc<SimPlatform>) {
     let machine = Machine::new(MachineConfig::paper(threads));
     let platform = SimPlatform::new(Arc::clone(&machine));
-    (machine, platform)
+    (Host::Sim(machine), platform)
 }
 
 fn genome_run(threads: usize) -> u64 {
-    let (machine, platform) = sim(threads);
+    let (host, platform) = sim(threads);
     let sys = NzBuilder::new(Arc::clone(&platform)).build_nzstm();
-    fingerprint(&run_genome_sim(&machine, &platform, &sys, GenomeConfig::small()))
+    fingerprint(&run_genome(&host, &sys, GenomeConfig::small()))
 }
 
 fn kmeans_run(threads: usize) -> u64 {
-    let (machine, platform) = sim(threads);
+    let (host, platform) = sim(threads);
     let sys = NzBuilder::new(Arc::clone(&platform)).build_nzstm();
-    fingerprint(&run_kmeans_sim(&machine, &platform, &sys, KmeansConfig::high(160, 3)))
+    fingerprint(&run_kmeans(&host, &sys, KmeansConfig::high(160, 3)))
 }
 
 fn vacation_run(threads: usize) -> u64 {
-    let (machine, platform) = sim(threads);
+    let (host, platform) = sim(threads);
     let sys = NzBuilder::new(Arc::clone(&platform)).build_nzstm();
     // Conservation is asserted inside the driver after the client phase.
-    fingerprint(&run_vacation_sim(&machine, &platform, &sys, VacationConfig::low(48, 24), 40))
+    fingerprint(&run_vacation(&host, &sys, VacationConfig::low(48, 24), 40))
 }
 
 #[test]
@@ -89,19 +90,13 @@ fn vacation_is_deterministic_per_thread_count() {
 #[test]
 fn genome_dedup_set_agrees_across_thread_counts() {
     fn dedup_elements(threads: usize) -> Vec<u64> {
-        let (machine, platform) = sim(threads);
+        let (host, platform) = sim(threads);
         let sys = NzBuilder::new(Arc::clone(&platform)).build_nzstm();
         let g = Arc::new(Genome::new(&*sys, GenomeConfig::small()));
-        let bodies: Vec<Box<dyn FnOnce() + Send>> = (0..threads)
-            .map(|tid| {
-                let g = Arc::clone(&g);
-                let sys = Arc::clone(&sys);
-                Box::new(move || {
-                    g.dedup_phase(&*sys, tid, threads);
-                }) as Box<dyn FnOnce() + Send>
-            })
-            .collect();
-        machine.run(bodies);
+        let (g2, sys2) = (Arc::clone(&g), Arc::clone(&sys));
+        host.parallel(move |tid| {
+            g2.dedup_phase(&*sys2, tid, threads);
+        });
         let g = Arc::try_unwrap(g).unwrap_or_else(|_| panic!("dedup bodies done"));
         let mut e = g.dedup.elements(&*sys);
         e.sort_unstable();
@@ -119,13 +114,13 @@ fn genome_dedup_set_agrees_across_thread_counts() {
 /// reconstruction invariants).
 #[test]
 fn stamp_smoke_on_scss() {
-    let (machine, platform) = sim(4);
+    let (host, platform) = sim(4);
     let sys = NzBuilder::new(Arc::clone(&platform)).build_scss();
-    let g = run_genome_sim(&machine, &platform, &sys, GenomeConfig::small());
+    let g = run_genome(&host, &sys, GenomeConfig::small());
     assert!(g.ops > 0);
-    let k = run_kmeans_sim(&machine, &platform, &sys, KmeansConfig::low(120, 2));
+    let k = run_kmeans(&host, &sys, KmeansConfig::low(120, 2));
     assert_eq!(k.ops, 240, "points x iterations");
-    let v = run_vacation_sim(&machine, &platform, &sys, VacationConfig::high(48, 24), 30);
+    let v = run_vacation(&host, &sys, VacationConfig::high(48, 24), 30);
     assert_eq!(v.ops, 120, "4 threads x 30 txns");
     assert!(v.stats.commits > 0);
 }

@@ -3,6 +3,8 @@
 //! paper reports. Keeps the harness honest between full runs.
 
 use nztm_bench::suite::{fig3_cell, fig4_cell, SimSystem, Workload, WorkloadScale};
+use nztm_sim::Native;
+use nztm_workloads::Host;
 
 fn tiny() -> WorkloadScale {
     WorkloadScale {
@@ -76,7 +78,7 @@ fn fig4_runs_every_workload_cell_once() {
     let scale = tiny();
     for &w in nztm_bench::suite::ALL_WORKLOADS {
         for sys in ["GlobalLock", "DSTM2-SF", "BZSTM", "SCSS", "NZSTM"] {
-            let r = fig4_cell(sys, w, 2, &scale);
+            let r = fig4_cell(&Host::Native(Native::new(2)), sys, w, &scale);
             assert!(r.stats.commits > 0, "{sys}/{} committed nothing", w.name());
         }
     }
@@ -87,6 +89,6 @@ fn fig4_dstm_baseline_also_runs() {
     // The classic DSTM (2-level indirection) is wired into the harness
     // for ablations even though Figure 4 doesn't plot it.
     let scale = tiny();
-    let r = fig4_cell("DSTM", Workload::RedblackLow, 2, &scale);
+    let r = fig4_cell(&Host::Native(Native::new(2)), "DSTM", Workload::RedblackLow, &scale);
     assert!(r.stats.commits > 0);
 }

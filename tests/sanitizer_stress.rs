@@ -13,7 +13,8 @@ use nztm_core::cm::{KarmaDeadlock, Polite};
 use nztm_core::{Bzstm, NzBuilder, NzConfig, Nzstm, NzstmScss};
 use nztm_htm::{AtmtpConfig, BestEffortHtm, HybridConfig, NztmHybrid};
 use nztm_sim::{Machine, MachineConfig, Native, SimPlatform};
-use nztm_workloads::harness::{stress_native, stress_sim, StressConfig};
+use nztm_workloads::harness::{stress, StressConfig};
+use nztm_workloads::Host;
 use std::sync::Arc;
 
 fn cfg(threads: usize, seed: u64) -> StressConfig {
@@ -30,7 +31,7 @@ fn bzstm_native_stress_is_sanitizer_clean() {
         let p = Native::new(4);
         let stm = NzBuilder::new(Arc::clone(&p)).build_bzstm();
         stm.sanitizer().set_schedule(seed, 5);
-        let st = stress_native(&p, &stm, &cfg(4, seed));
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg(4, seed));
         assert!(st.commits > 0);
         let v = stm.sanitizer().violations();
         assert!(v.is_empty(), "seed {seed}: {v:?}\n{}", stm.sanitizer().replay_dump());
@@ -49,7 +50,7 @@ fn nzstm_native_stress_is_sanitizer_clean() {
             NzConfig { patience: 12, ..NzConfig::default() },
         );
         stm.sanitizer().set_schedule(seed, 5);
-        let st = stress_native(&p, &stm, &cfg(4, seed));
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg(4, seed));
         assert!(st.commits > 0);
         let v = stm.sanitizer().violations();
         assert!(v.is_empty(), "seed {seed}: {v:?}\n{}", stm.sanitizer().replay_dump());
@@ -66,7 +67,7 @@ fn scss_native_stress_is_sanitizer_clean() {
             NzConfig { patience: 12, ..NzConfig::default() },
         );
         stm.sanitizer().set_schedule(seed, 5);
-        let st = stress_native(&p, &stm, &cfg(4, seed));
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg(4, seed));
         assert!(st.commits > 0);
         let v = stm.sanitizer().violations();
         assert!(v.is_empty(), "seed {seed}: {v:?}\n{}", stm.sanitizer().replay_dump());
@@ -97,7 +98,7 @@ fn oversubscribed_128_thread_stress_is_sanitizer_clean_on_all_systems() {
         let p = Native::new(128);
         let stm = NzBuilder::new(Arc::clone(&p)).build_bzstm();
         stm.sanitizer().set_schedule(1, 3);
-        let st = stress_native(&p, &stm, &cfg);
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg);
         let v = stm.sanitizer().violations().iter().map(|x| format!("{x:?}")).collect();
         run("bzstm", st.commits, v);
     }
@@ -109,7 +110,7 @@ fn oversubscribed_128_thread_stress_is_sanitizer_clean_on_all_systems() {
             NzConfig { patience: 24, ..NzConfig::default() },
         );
         stm.sanitizer().set_schedule(2, 3);
-        let st = stress_native(&p, &stm, &cfg);
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg);
         let v = stm.sanitizer().violations().iter().map(|x| format!("{x:?}")).collect();
         run("nzstm", st.commits, v);
     }
@@ -121,7 +122,7 @@ fn oversubscribed_128_thread_stress_is_sanitizer_clean_on_all_systems() {
             NzConfig { patience: 24, ..NzConfig::default() },
         );
         stm.sanitizer().set_schedule(3, 3);
-        let st = stress_native(&p, &stm, &cfg);
+        let (st, _) = stress(&Host::Native(Arc::clone(&p)), &stm, &cfg);
         let v = stm.sanitizer().violations().iter().map(|x| format!("{x:?}")).collect();
         run("scss", st.commits, v);
     }
@@ -148,7 +149,7 @@ fn sim_stress_replays_byte_identically_for_all_software_systems() {
             NzConfig { patience: 64, ..NzConfig::default() },
         );
         stm.sanitizer().set_schedule(seed, 6);
-        let (st, report) = stress_sim(&m, &stm, &cfg(3, seed));
+        let (st, makespan) = stress(&Host::Sim(Arc::clone(&m)), &stm, &cfg(3, seed));
         let v = stm.sanitizer().violations();
         assert!(v.is_empty(), "{v:?}\n{}", stm.sanitizer().replay_dump());
         (
@@ -159,7 +160,7 @@ fn sim_stress_replays_byte_identically_for_all_software_systems() {
                 .collect(),
             stm.sanitizer().schedule_digest(),
             m.schedule_trace().expect("trace enabled"),
-            report.makespan,
+            makespan,
             st.commits,
         )
     }
@@ -194,7 +195,7 @@ fn hybrid_stress_is_sanitizer_clean_on_sim() {
     htm.install();
     let hy = NztmHybrid::new(Arc::clone(&stm), htm, HybridConfig::default());
     stm.sanitizer().set_schedule(11, 4);
-    let (st, _report) = stress_sim(&m, &hy, &cfg(3, 11));
+    let (st, _) = stress(&Host::Sim(Arc::clone(&m)), &hy, &cfg(3, 11));
     hy.htm().uninstall();
     assert!(st.commits > 0);
     // The hardware path must actually carry part of the load — otherwise
